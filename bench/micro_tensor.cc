@@ -4,7 +4,8 @@
 // kernel speedup from runtime-pool scaling. Results — ns/iter, GFLOP/s, and
 // the avx2-vs-scalar speedup per case — land in a JSON file (default
 // BENCH_tensor.json) for the perf trajectory; the headline acceptance
-// number is the gemm_nn speedup (target >= 4x).
+// number is the gemm_nn speedup (target >= 4x). The conv_bwd_* rows record
+// the training backward beside the forward.
 //
 // Run: ./build/bench/micro_tensor
 //      ./build/bench/micro_tensor --min_seconds=1.0 --out=/tmp/t.json
@@ -93,6 +94,33 @@ std::vector<Case> BuildCases() {
     cases.push_back({"conv2d_forward_16c", flops, [conv, x] {
                        eos::Tensor out = conv->Forward(*x, /*training=*/false);
                      }});
+  }
+  // Conv backward on the three ResNet-8 block shapes of the paper pipeline
+  // (width 8, 16x16 images, batch 64): 3x3 same-pad, channels doubling as
+  // the plane halves. Two GEMMs per image (dW and dcol), 2 FLOPs per MAC.
+  struct BlockShape {
+    int64_t channels;
+    int64_t hw;
+  };
+  for (BlockShape b : {BlockShape{8, 16}, BlockShape{16, 8},
+                       BlockShape{32, 4}}) {
+    int64_t imgs = 64, kk = 3;
+    eos::Rng bwd_rng(11);
+    auto conv = std::make_shared<eos::nn::Conv2d>(
+        b.channels, b.channels, kk, 1, 1, /*bias=*/false, bwd_rng);
+    auto x = std::make_shared<eos::Tensor>(eos::Tensor::Uniform(
+        {imgs, b.channels, b.hw, b.hw}, -1.0f, 1.0f, bwd_rng));
+    auto dy = std::make_shared<eos::Tensor>(
+        eos::Tensor::Uniform(x->shape(), -1.0f, 1.0f, bwd_rng));
+    conv->Forward(*x, /*training=*/true);  // caches the input
+    double flops = 4.0 * imgs * b.channels * b.channels * kk * kk * b.hw *
+                   b.hw;
+    cases.push_back(
+        {eos::StrFormat("conv_bwd_%lldc_%lldx%lld",
+                        static_cast<long long>(b.channels),
+                        static_cast<long long>(b.hw),
+                        static_cast<long long>(b.hw)),
+         flops, [conv, dy] { eos::Tensor dx = conv->Backward(*dy); }});
   }
   {
     eos::Rng bn_rng(9);

@@ -185,6 +185,14 @@ class Detector {
   std::atomic<uint64_t> epoch_{1};
 };
 
+/// Set once this thread's ThreadState has been destroyed. A bool is
+/// trivially destructible, so it stays readable for the rest of the
+/// thread's exit: thread_local destructors constructed earlier, and — on
+/// the main thread — the static destructors that run after every
+/// thread_local is gone (the global pool's ~ThreadPool locks its
+/// DebugMutex there).
+thread_local bool t_state_destroyed = false;
+
 /// Per-thread acquisition state: the held-lock stack plus a cache of edge
 /// pairs this thread has already pushed to the global graph (packed
 /// from<<32|to), valid for one registry epoch.
@@ -192,11 +200,17 @@ struct ThreadState {
   std::vector<uint32_t> held;
   std::set<uint64_t> seen_edges;
   uint64_t epoch = 0;
+
+  ~ThreadState() { t_state_destroyed = true; }
 };
 
-ThreadState& State() {
+/// This thread's state, or null once it has been destroyed at thread exit;
+/// acquisitions after that point go untracked instead of touching freed
+/// memory.
+ThreadState* State() {
+  if (t_state_destroyed) return nullptr;
   thread_local ThreadState state;
-  return state;
+  return &state;
 }
 
 }  // namespace
@@ -216,23 +230,26 @@ uint32_t Register(const char* name) {
 void Unregister(uint32_t id) { Detector::Get().Unregister(id); }
 
 void OnAcquire(uint32_t id) {
-  ThreadState& state = State();
+  ThreadState* state = State();
+  if (state == nullptr) return;
   uint64_t epoch = Detector::Get().Epoch();
-  if (state.epoch != epoch) {
-    state.seen_edges.clear();
-    state.epoch = epoch;
+  if (state->epoch != epoch) {
+    state->seen_edges.clear();
+    state->epoch = epoch;
   }
   bool any_novel = false;
-  for (uint32_t from : state.held) {
+  for (uint32_t from : state->held) {
     uint64_t packed = (static_cast<uint64_t>(from) << 32) | id;
-    if (state.seen_edges.insert(packed).second) any_novel = true;
+    if (state->seen_edges.insert(packed).second) any_novel = true;
   }
-  if (any_novel) Detector::Get().AddEdges(state.held, id);
-  state.held.push_back(id);
+  if (any_novel) Detector::Get().AddEdges(state->held, id);
+  state->held.push_back(id);
 }
 
 void OnRelease(uint32_t id) {
-  std::vector<uint32_t>& held = State().held;
+  ThreadState* state = State();
+  if (state == nullptr) return;
+  std::vector<uint32_t>& held = state->held;
   for (auto it = held.rbegin(); it != held.rend(); ++it) {
     if (*it == id) {
       held.erase(std::next(it).base());
@@ -241,6 +258,9 @@ void OnRelease(uint32_t id) {
   }
 }
 
-int HeldCount() { return static_cast<int>(State().held.size()); }
+int HeldCount() {
+  ThreadState* state = State();
+  return state == nullptr ? 0 : static_cast<int>(state->held.size());
+}
 
 }  // namespace eos::lock_order

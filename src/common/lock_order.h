@@ -55,6 +55,9 @@ void Unregister(uint32_t id);
 /// Records that the calling thread is acquiring `id`: draws edges from
 /// every lock the thread currently holds, aborting with a diagnostic on the
 /// first ordering inversion, then pushes `id` onto the thread's held set.
+/// Once the thread's own detector state has been destroyed at thread exit
+/// (e.g. a static destructor locking on the main thread after its
+/// thread_locals are gone), this and OnRelease are no-ops.
 void OnAcquire(uint32_t id);
 
 /// Records that the calling thread released `id` (removes the most recent

@@ -1,25 +1,13 @@
 #include "nn/conv2d.h"
 
-#include <algorithm>
 #include <vector>
 
 #include "common/check.h"
 #include "nn/init.h"
-#include "runtime/parallel_for.h"
 #include "tensor/im2col.h"
-#include "tensor/matmul.h"
 #include "tensor/simd/dispatch.h"
 
 namespace eos::nn {
-namespace {
-
-// Backward partitions the batch into at most this many chunks, each with its
-// own dW/db accumulation tile. The cap bounds tile memory and — because it
-// is a constant, not the thread count — keeps the chunk-ordered tile
-// reduction identical at every thread count.
-constexpr int64_t kMaxBatchChunks = 8;
-
-}  // namespace
 
 Conv2d::Conv2d(int64_t in_channels, int64_t out_channels, int64_t kernel,
                int64_t stride, int64_t pad, bool bias, Rng& rng)
@@ -45,36 +33,35 @@ Conv2d::Conv2d(int64_t in_channels, int64_t out_channels, int64_t kernel,
   }
 }
 
-Tensor Conv2d::Forward(const Tensor& input, bool training) {
+simd::ConvShape Conv2d::Shape(const Tensor& input) const {
   EOS_CHECK_EQ(input.dim(), 4);
   EOS_CHECK_EQ(input.size(1), in_channels_);
-  int64_t n = input.size(0);
-  int64_t h = input.size(2);
-  int64_t w = input.size(3);
-  int64_t out_h = ConvOutSize(h, kernel_, stride_, pad_);
-  int64_t out_w = ConvOutSize(w, kernel_, stride_, pad_);
-  EOS_CHECK_GT(out_h, 0);
-  EOS_CHECK_GT(out_w, 0);
-
-  if (training) cached_input_ = input;
-
-  Tensor out({n, out_channels_, out_h, out_w});
-  // Whole-batch im2col-fused forward via the dispatched SIMD layer:
-  // batch-parallel with workspace-lane scratch (zero steady-state heap
-  // allocation) and the bias fold in the GEMM tail. `out` is
-  // zero-initialized, as the kernel's accumulate semantics require.
   simd::ConvShape shape;
-  shape.batch = n;
+  shape.batch = input.size(0);
   shape.in_channels = in_channels_;
-  shape.height = h;
-  shape.width = w;
+  shape.height = input.size(2);
+  shape.width = input.size(3);
   shape.out_channels = out_channels_;
   shape.kernel_h = kernel_;
   shape.kernel_w = kernel_;
   shape.stride = stride_;
   shape.pad = pad_;
-  shape.out_h = out_h;
-  shape.out_w = out_w;
+  shape.out_h = ConvOutSize(shape.height, kernel_, stride_, pad_);
+  shape.out_w = ConvOutSize(shape.width, kernel_, stride_, pad_);
+  EOS_CHECK_GT(shape.out_h, 0);
+  EOS_CHECK_GT(shape.out_w, 0);
+  return shape;
+}
+
+Tensor Conv2d::Forward(const Tensor& input, bool training) {
+  simd::ConvShape shape = Shape(input);
+  if (training) cached_input_ = input;
+
+  Tensor out({shape.batch, out_channels_, shape.out_h, shape.out_w});
+  // Whole-batch im2col-fused forward via the dispatched SIMD layer:
+  // batch-parallel with workspace-lane scratch (zero steady-state heap
+  // allocation) and the bias fold in the GEMM tail. `out` is
+  // zero-initialized, as the kernel's accumulate semantics require.
   simd::Active().conv2d_forward(
       input.data(), weight_.value.data(),
       has_bias_ ? bias_.value.data() : nullptr, out.data(), shape);
@@ -82,81 +69,21 @@ Tensor Conv2d::Forward(const Tensor& input, bool training) {
 }
 
 Tensor Conv2d::Backward(const Tensor& grad_output) {
-  EOS_CHECK_EQ(grad_output.dim(), 4);
   EOS_CHECK(cached_input_.numel() > 0);
-  const Tensor& input = cached_input_;
-  int64_t n = input.size(0);
-  int64_t h = input.size(2);
-  int64_t w = input.size(3);
-  int64_t out_h = grad_output.size(2);
-  int64_t out_w = grad_output.size(3);
-  EOS_CHECK_EQ(grad_output.size(0), n);
+  simd::ConvShape shape = Shape(cached_input_);
+  EOS_CHECK_EQ(grad_output.dim(), 4);
+  EOS_CHECK_EQ(grad_output.size(0), shape.batch);
   EOS_CHECK_EQ(grad_output.size(1), out_channels_);
-  int64_t ckk = in_channels_ * kernel_ * kernel_;
-  int64_t plane = out_h * out_w;
+  EOS_CHECK_EQ(grad_output.size(2), shape.out_h);
+  EOS_CHECK_EQ(grad_output.size(3), shape.out_w);
 
-  Tensor grad_input(input.shape());  // zero-initialized
-
-  const float* x = input.data();
-  const float* dy = grad_output.data();
-  float* dx = grad_input.data();
-  int64_t in_stride = in_channels_ * h * w;
-  int64_t out_stride = out_channels_ * plane;
-
-  // Batch-parallel with deterministic weight-gradient accumulation: dX
-  // slices are disjoint per image, but dW/db sum over the whole batch, so
-  // each chunk fills its own zero-initialized tile and the tiles are reduced
-  // in ascending chunk order after the join (no atomics on float paths).
-  int64_t grain = std::max<int64_t>(1, (n + kMaxBatchChunks - 1) /
-                                           kMaxBatchChunks);
-  int64_t chunks = runtime::NumChunks(n, grain);
-  int64_t wsize = out_channels_ * ckk;
-  std::vector<float> dw_tiles(static_cast<size_t>(chunks * wsize), 0.0f);
-  std::vector<float> db_tiles(
-      has_bias_ ? static_cast<size_t>(chunks * out_channels_) : 0, 0.0f);
-  runtime::ParallelForChunks(chunks, [&](int64_t chunk) {
-    int64_t img0 = chunk * grain;
-    int64_t img1 = std::min(n, img0 + grain);
-    std::vector<float> col(static_cast<size_t>(ckk * plane));
-    std::vector<float> grad_col(static_cast<size_t>(ckk * plane));
-    float* dw_tile = dw_tiles.data() + chunk * wsize;
-    float* db_tile =
-        has_bias_ ? db_tiles.data() + chunk * out_channels_ : nullptr;
-    for (int64_t img = img0; img < img1; ++img) {
-      const float* dy_img = dy + img * out_stride;
-      // Recompute the unfolded input for this image.
-      Im2Col(x + img * in_stride, in_channels_, h, w, kernel_, kernel_,
-             stride_, pad_, col.data());
-      // dW_tile[O, ckk] += dY[O, plane] * col[ckk, plane]^T.
-      GemmNT(dy_img, col.data(), dw_tile, out_channels_, plane, ckk);
-      // grad_col[ckk, plane] = W[O, ckk]^T * dY[O, plane].
-      std::fill(grad_col.begin(), grad_col.end(), 0.0f);
-      GemmTN(weight_.value.data(), dy_img, grad_col.data(), ckk,
-             out_channels_, plane);
-      Col2Im(grad_col.data(), in_channels_, h, w, kernel_, kernel_, stride_,
-             pad_, dx + img * in_stride);
-      if (db_tile != nullptr) {
-        for (int64_t c = 0; c < out_channels_; ++c) {
-          const float* src = dy_img + c * plane;
-          float acc = 0.0f;
-          for (int64_t i = 0; i < plane; ++i) acc += src[i];
-          db_tile[c] += acc;
-        }
-      }
-    }
-  });
-  float* dw = weight_.grad.data();
-  for (int64_t chunk = 0; chunk < chunks; ++chunk) {
-    const float* tile = dw_tiles.data() + chunk * wsize;
-    for (int64_t i = 0; i < wsize; ++i) dw[i] += tile[i];
-  }
-  if (has_bias_) {
-    float* db = bias_.grad.data();
-    for (int64_t chunk = 0; chunk < chunks; ++chunk) {
-      const float* tile = db_tiles.data() + chunk * out_channels_;
-      for (int64_t c = 0; c < out_channels_; ++c) db[c] += tile[c];
-    }
-  }
+  Tensor grad_input(cached_input_.shape());  // zero-initialized
+  // Batch-parallel NN-GEMM backward with chunk-ordered dW/db reduction
+  // (bitwise-identical at any thread count) on workspace-lane scratch.
+  simd::Active().conv2d_backward(
+      cached_input_.data(), weight_.value.data(), grad_output.data(),
+      grad_input.data(), weight_.grad.data(),
+      has_bias_ ? bias_.grad.data() : nullptr, shape);
   return grad_input;
 }
 

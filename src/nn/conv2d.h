@@ -6,6 +6,7 @@
 
 #include "common/rng.h"
 #include "nn/module.h"
+#include "tensor/simd/dispatch.h"
 
 namespace eos::nn {
 
@@ -14,9 +15,11 @@ namespace eos::nn {
 /// The weight is stored GEMM-ready as [out_channels, in_channels*kh*kw].
 /// Backward recomputes the im2col buffer from the cached input instead of
 /// caching it, trading a little compute for a large activation-memory saving.
-/// Forward and backward are batch-parallel over the src/runtime/ pool with
-/// deterministic (chunk-ordered) weight-gradient reduction, so results are
-/// bitwise-identical at any EOS_THREADS.
+/// Forward and backward are one call each into the dispatched SIMD layer
+/// (simd::KernelTable::conv2d_forward / conv2d_backward): batch-parallel
+/// over the src/runtime/ pool with deterministic (chunk-ordered)
+/// weight-gradient reduction, so results are bitwise-identical at any
+/// EOS_THREADS.
 class Conv2d : public Module {
  public:
   /// Creates a convolution with square `kernel`, the given `stride` and
@@ -35,6 +38,9 @@ class Conv2d : public Module {
   int64_t out_channels() const { return out_channels_; }
 
  private:
+  /// Kernel geometry for an NCHW input batch (checks the channel count).
+  simd::ConvShape Shape(const Tensor& input) const;
+
   int64_t in_channels_;
   int64_t out_channels_;
   int64_t kernel_;

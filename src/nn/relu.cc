@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "runtime/parallel_for.h"
 #include "tensor/simd/dispatch.h"
 
 namespace eos::nn {
@@ -14,11 +15,15 @@ Tensor ReLU::Forward(const Tensor& input, bool training) {
   if (training) {
     mask_ = Tensor(input.shape());
     float* m = mask_.data();
-    for (int64_t i = 0; i < input.numel(); ++i) {
-      bool pos = x[i] > 0.0f;
-      m[i] = pos ? 1.0f : 0.0f;
-      y[i] = pos ? x[i] : 0.0f;
-    }
+    // Element-wise with disjoint writes: bitwise-invariant at any split.
+    runtime::ParallelFor(0, input.numel(), runtime::kElementGrain,
+                         [&](int64_t lo, int64_t hi) {
+      for (int64_t i = lo; i < hi; ++i) {
+        bool pos = x[i] > 0.0f;
+        m[i] = pos ? 1.0f : 0.0f;
+        y[i] = pos ? x[i] : 0.0f;
+      }
+    });
   } else {
     // Dispatched eval-path kernel; max(x, 0) semantics match the scalar
     // ternary bitwise (including NaN -> 0) on every ISA.
@@ -34,7 +39,10 @@ Tensor ReLU::Backward(const Tensor& grad_output) {
   const float* dy = grad_output.data();
   const float* m = mask_.data();
   float* dx = grad_input.data();
-  for (int64_t i = 0; i < grad_output.numel(); ++i) dx[i] = dy[i] * m[i];
+  runtime::ParallelFor(0, grad_output.numel(), runtime::kElementGrain,
+                       [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) dx[i] = dy[i] * m[i];
+  });
   return grad_input;
 }
 

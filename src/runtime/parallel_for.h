@@ -27,6 +27,12 @@
 
 namespace eos::runtime {
 
+/// Grain for element-wise loops (tensor ops, ReLU training). They are
+/// memory-bound, so a chunk must amortize the per-chunk claim and the grain
+/// is large. Writes are disjoint per chunk, making every element-wise loop
+/// bitwise-deterministic at any thread count.
+inline constexpr int64_t kElementGrain = 1 << 14;
+
 /// Number of chunks a range of `total` iterations splits into at the given
 /// grain: ceil(total / grain). Requires grain > 0; returns 0 for empty
 /// ranges. Exposed so callers that keep per-chunk state (GEMM k-partition

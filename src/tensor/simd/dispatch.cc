@@ -68,6 +68,7 @@ KernelTable MakeScalarTable() {
   t.gemm_tn = internal::GemmTNScalar;
   t.gemm_nt = internal::GemmNTScalar;
   t.conv2d_forward = internal::Conv2dForwardScalar;
+  t.conv2d_backward = internal::Conv2dBackwardScalar;
   t.add_bias_rows = internal::AddBiasRowsScalar;
   t.relu = internal::ReluScalar;
   t.bn_eval = internal::BnEvalScalar;
@@ -82,6 +83,7 @@ KernelTable MakeAvx2Table() {
   t.gemm_tn = internal::GemmTNAvx2;
   t.gemm_nt = internal::GemmNTAvx2;
   t.conv2d_forward = internal::Conv2dForwardAvx2;
+  t.conv2d_backward = internal::Conv2dBackwardAvx2;
   t.add_bias_rows = internal::AddBiasRowsAvx2;
   t.relu = internal::ReluAvx2;
   t.bn_eval = internal::BnEvalAvx2;

@@ -5,14 +5,16 @@
 
 /// \file
 /// Runtime-dispatched SIMD kernel layer. Every dense hot loop in the tree
-/// (GEMM, im2col conv forward, and the bias/ReLU/BatchNorm/softmax
-/// epilogues) funnels through one `KernelTable` of function pointers,
+/// (GEMM, im2col conv forward and backward, and the
+/// bias/ReLU/BatchNorm/softmax epilogues) funnels through one `KernelTable`
+/// of function pointers,
 /// selected once per process from the CPU's capabilities:
 ///
 ///   * `Isa::kScalar` — portable kernels that are bitwise-identical to the
 ///     pre-SIMD tree (the historical cache-blocked loops, moved verbatim
-///     into kernels_scalar.cc). Always available; the reference for every
-///     equivalence test.
+///     into kernels_scalar.cc), except conv backward, whose two GEMMs were
+///     reformulated as NN products. Always available; the reference for
+///     every equivalence test.
 ///   * `Isa::kAvx2`   — AVX2/FMA microkernels (kernels_avx2.cc, compiled
 ///     with -mavx2 -mfma and only ever *called* after a CPUID check).
 ///
@@ -21,7 +23,8 @@
 /// for the inference kernels — independent of how samples are batched. The
 /// two paths differ numerically (FMA keeps one rounding where mul+add keeps
 /// two), which is why the contract is per-path: a given machine+override
-/// always reproduces itself, and the scalar path reproduces the seed tree.
+/// always reproduces itself, and the scalar path reproduces the seed tree
+/// everywhere but conv backward.
 /// Epilogues deliberately avoid FMA so they are bitwise-identical across
 /// BOTH paths; only the GEMM-family kernels diverge.
 ///
@@ -105,6 +108,17 @@ struct KernelTable {
   void (*conv2d_forward)(const float* x, const float* weight,
                          const float* bias, float* y,
                          const ConvShape& shape) = nullptr;
+
+  /// Whole-batch conv backward given the forward input `x` and the output
+  /// gradient `dy`: dx = col2im(W^T * dY) (`dx` must be zero-initialized),
+  /// dw[O, ckk] += sum over images of dY * im2col(x)^T, and db[O] += the
+  /// per-channel sum of dY (skipped when `db` is null). Both products run
+  /// on the path's gemm_nn; dw/db reduce per-chunk tiles in ascending chunk
+  /// order, so the result is bitwise-identical at any thread count.
+  /// Scratch comes from the current simd::Workspace.
+  void (*conv2d_backward)(const float* x, const float* weight,
+                          const float* dy, float* dx, float* dw, float* db,
+                          const ConvShape& shape) = nullptr;
 
   /// x[rows,n] += bias[n] broadcast down the rows (Linear epilogue).
   /// Bitwise-identical across ISA paths (pure adds, no FMA).

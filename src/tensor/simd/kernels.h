@@ -13,7 +13,8 @@
 /// The *Scalar functions are the historical cache-blocked loops moved here
 /// verbatim from tensor/matmul.cc, nn/conv2d.cc, nn/linear.cc, nn/relu.cc,
 /// nn/batchnorm.cc, and tensor/tensor_ops.cc, so the scalar path stays
-/// bitwise-identical to the pre-SIMD tree.
+/// bitwise-identical to the pre-SIMD tree. The one exception is conv
+/// backward, whose NT/TN products became NN products (Conv2dBackwardDriver).
 ///
 /// The *Avx2 functions live in kernels_avx2.cc, the only translation unit
 /// built with -mavx2 -mfma; they must never be called without a prior
@@ -29,6 +30,9 @@ void GemmNTScalar(const float* a, const float* b, float* out, int64_t m,
                   int64_t k, int64_t n);
 void Conv2dForwardScalar(const float* x, const float* weight,
                          const float* bias, float* y, const ConvShape& shape);
+void Conv2dBackwardScalar(const float* x, const float* weight,
+                          const float* dy, float* dx, float* dw, float* db,
+                          const ConvShape& shape);
 void AddBiasRowsScalar(float* x, const float* bias, int64_t rows, int64_t n);
 void ReluScalar(const float* x, float* y, int64_t n);
 void BnEvalScalar(const float* x, float* y, const float* mean,
@@ -47,6 +51,9 @@ void GemmNTAvx2(const float* a, const float* b, float* out, int64_t m,
                 int64_t k, int64_t n);
 void Conv2dForwardAvx2(const float* x, const float* weight, const float* bias,
                        float* y, const ConvShape& shape);
+void Conv2dBackwardAvx2(const float* x, const float* weight, const float* dy,
+                        float* dx, float* dw, float* db,
+                        const ConvShape& shape);
 void AddBiasRowsAvx2(float* x, const float* bias, int64_t rows, int64_t n);
 void ReluAvx2(const float* x, float* y, int64_t n);
 void BnEvalAvx2(const float* x, float* y, const float* mean,
@@ -69,6 +76,21 @@ void Conv2dForwardDriver(const float* x, const float* weight,
                                       int64_t, int64_t, int64_t),
                          void (*conv_bias)(float*, const float*, int64_t,
                                            int64_t));
+
+/// Shared conv-backward driver. The batch splits into at most
+/// kMaxBatchChunks fixed chunks; per image, both products run on the
+/// path's `gemm` (NN):
+///   dW^T[ckk, O] += col[ckk, P] * dY^T[P, O]  (into the chunk's tile),
+///   dcol[ckk, P]  = W^T[ckk, O] * dY[O, P],   then col2im into dx.
+/// W^T is transposed once per call and dY^T once per image. The dW/db
+/// tiles are folded into dw/db in ascending chunk order after the join.
+/// The tiles and W^T live in one lane held by the calling thread; col
+/// (reused as dcol once dW is done) and dY^T in one lane per running chunk.
+void Conv2dBackwardDriver(const float* x, const float* weight,
+                          const float* dy, float* dx, float* dw, float* db,
+                          const ConvShape& shape,
+                          void (*gemm)(const float*, const float*, float*,
+                                       int64_t, int64_t, int64_t));
 
 }  // namespace eos::simd::internal
 

@@ -263,6 +263,12 @@ void Conv2dForwardAvx2(const float* x, const float* weight, const float* bias,
   Conv2dForwardDriver(x, weight, bias, y, shape, GemmNNAvx2, ConvBiasAvx2);
 }
 
+void Conv2dBackwardAvx2(const float* x, const float* weight, const float* dy,
+                        float* dx, float* dw, float* db,
+                        const ConvShape& shape) {
+  Conv2dBackwardDriver(x, weight, dy, dx, dw, db, shape, GemmNNAvx2);
+}
+
 void AddBiasRowsAvx2(float* x, const float* bias, int64_t rows, int64_t n) {
   for (int64_t i = 0; i < rows; ++i) {
     float* row = x + i * n;
@@ -369,6 +375,11 @@ void GemmNTAvx2(const float* a, const float* b, float* out, int64_t m,
 void Conv2dForwardAvx2(const float* x, const float* weight, const float* bias,
                        float* y, const ConvShape& shape) {
   Conv2dForwardScalar(x, weight, bias, y, shape);
+}
+void Conv2dBackwardAvx2(const float* x, const float* weight, const float* dy,
+                        float* dx, float* dw, float* db,
+                        const ConvShape& shape) {
+  Conv2dBackwardScalar(x, weight, dy, dx, dw, db, shape);
 }
 void AddBiasRowsAvx2(float* x, const float* bias, int64_t rows, int64_t n) {
   AddBiasRowsScalar(x, bias, rows, n);

@@ -12,7 +12,9 @@
 /// loops moved verbatim from tensor/matmul.cc, and the epilogues are the
 /// historical loops from nn/linear.cc, nn/relu.cc, nn/batchnorm.cc, and
 /// tensor/tensor_ops.cc, so `EOS_SIMD=scalar` reproduces the pre-SIMD tree
-/// bitwise. This file must be compiled with the default (portable) flags —
+/// bitwise — except conv backward, whose products are now NN GEMMs. The
+/// shared conv drivers (both paths) live here too. This file must be
+/// compiled with the default (portable) flags —
 /// no -mavx2/-mfma — or the compiler could contract mul+add into FMA and
 /// silently change the scalar path's results.
 
@@ -32,6 +34,23 @@ constexpr int64_t kMaxKChunks = 8;
 // Below this m the row-banded GemmTN has too few bands to scale and the
 // k dimension carries the parallelism instead.
 constexpr int64_t kSmallM = 16;
+
+// Conv backward splits the batch into at most this many chunks, each with
+// its own dW/db tile. A constant (not the thread count) bounds tile memory
+// and fixes the chunk-ordered tile reduction.
+constexpr int64_t kMaxBatchChunks = 8;
+
+// Rounds a float count up to a whole 64-byte line, so buffers carved out of
+// one workspace lane each start cache-line aligned.
+int64_t PadFloats(int64_t count) { return (count + 15) / 16 * 16; }
+
+// dst[cols, rows] = src[rows, cols]^T.
+void Transpose(const float* src, int64_t rows, int64_t cols, float* dst) {
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* srow = src + r * cols;
+    for (int64_t c = 0; c < cols; ++c) dst[c * rows + r] = srow[c];
+  }
+}
 
 }  // namespace
 
@@ -149,7 +168,7 @@ void Conv2dForwardDriver(const float* x, const float* weight,
   // parallel region and runs serially.
   runtime::ParallelFor(0, shape.batch, /*grain=*/1,
                        [&](int64_t img0, int64_t img1) {
-    LaneGuard guard = ws->AcquireLane();
+    LaneGuard guard = ws->AcquireLane(ckk * plane);
     float* col = guard.lane().Floats(ckk * plane);
     for (int64_t img = img0; img < img1; ++img) {
       Im2Col(x + img * in_stride, shape.in_channels, shape.height,
@@ -168,6 +187,87 @@ void Conv2dForwardScalar(const float* x, const float* weight,
                          const float* bias, float* y, const ConvShape& shape) {
   Conv2dForwardDriver(x, weight, bias, y, shape, GemmNNScalar,
                       ConvBiasScalar);
+}
+
+void Conv2dBackwardDriver(const float* x, const float* weight,
+                          const float* dy, float* dx, float* dw, float* db,
+                          const ConvShape& shape,
+                          void (*gemm)(const float*, const float*, float*,
+                                       int64_t, int64_t, int64_t)) {
+  int64_t out_ch = shape.out_channels;
+  int64_t ckk = shape.in_channels * shape.kernel_h * shape.kernel_w;
+  int64_t plane = shape.out_h * shape.out_w;
+  int64_t in_stride = shape.in_channels * shape.height * shape.width;
+  int64_t out_stride = out_ch * plane;
+  int64_t wsize = out_ch * ckk;
+  // dW/db sum over the whole batch: each chunk fills its own zeroed tile
+  // ([ckk, O] dW^T, then [O] db) and the tiles are folded in ascending
+  // chunk order after the join. The chunk cap is a constant, so the
+  // summation tree never depends on the thread count.
+  int64_t grain = std::max<int64_t>(
+      1, (shape.batch + kMaxBatchChunks - 1) / kMaxBatchChunks);
+  int64_t chunks = runtime::NumChunks(shape.batch, grain);
+  int64_t tile_stride = PadFloats(wsize + (db != nullptr ? out_ch : 0));
+  int64_t wt_size = PadFloats(wsize);
+  int64_t col_size = PadFloats(ckk * plane);
+
+  // Resolve the workspace before the parallel region (see the forward).
+  Workspace* ws = Workspace::Current();
+  int64_t shared_size = wt_size + chunks * tile_stride;
+  LaneGuard shared = ws->AcquireLane(shared_size);
+  float* wt = shared.lane().Floats(shared_size);
+  float* tiles = wt + wt_size;
+  Transpose(weight, out_ch, ckk, wt);
+  std::fill(tiles, tiles + chunks * tile_stride, 0.0f);
+
+  runtime::ParallelForChunks(chunks, [&](int64_t chunk) {
+    LaneGuard guard = ws->AcquireLane(col_size + plane * out_ch);
+    float* col = guard.lane().Floats(col_size + plane * out_ch);
+    float* dyt = col + col_size;
+    float* dwt_tile = tiles + chunk * tile_stride;
+    float* db_tile = db != nullptr ? dwt_tile + wsize : nullptr;
+    int64_t img1 = std::min(shape.batch, (chunk + 1) * grain);
+    for (int64_t img = chunk * grain; img < img1; ++img) {
+      const float* dy_img = dy + img * out_stride;
+      Im2Col(x + img * in_stride, shape.in_channels, shape.height,
+             shape.width, shape.kernel_h, shape.kernel_w, shape.stride,
+             shape.pad, col);
+      Transpose(dy_img, out_ch, plane, dyt);
+      gemm(col, dyt, dwt_tile, ckk, plane, out_ch);
+      // col is spent: reuse its storage for dcol.
+      float* dcol = col;
+      std::fill(dcol, dcol + ckk * plane, 0.0f);
+      gemm(wt, dy_img, dcol, ckk, out_ch, plane);
+      Col2Im(dcol, shape.in_channels, shape.height, shape.width,
+             shape.kernel_h, shape.kernel_w, shape.stride, shape.pad,
+             dx + img * in_stride);
+      if (db_tile != nullptr) {
+        for (int64_t c = 0; c < out_ch; ++c) {
+          const float* src = dy_img + c * plane;
+          float acc = 0.0f;
+          for (int64_t i = 0; i < plane; ++i) acc += src[i];
+          db_tile[c] += acc;
+        }
+      }
+    }
+  });
+
+  for (int64_t chunk = 0; chunk < chunks; ++chunk) {
+    const float* tile = tiles + chunk * tile_stride;
+    for (int64_t o = 0; o < out_ch; ++o) {
+      float* dw_row = dw + o * ckk;
+      for (int64_t r = 0; r < ckk; ++r) dw_row[r] += tile[r * out_ch + o];
+    }
+    if (db != nullptr) {
+      for (int64_t o = 0; o < out_ch; ++o) db[o] += tile[wsize + o];
+    }
+  }
+}
+
+void Conv2dBackwardScalar(const float* x, const float* weight,
+                          const float* dy, float* dx, float* dw, float* db,
+                          const ConvShape& shape) {
+  Conv2dBackwardDriver(x, weight, dy, dx, dw, db, shape, GemmNNScalar);
 }
 
 void AddBiasRowsScalar(float* x, const float* bias, int64_t rows, int64_t n) {

@@ -1,5 +1,6 @@
 #include "tensor/simd/workspace.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "common/check.h"
@@ -12,6 +13,13 @@ constexpr int64_t kAlignment = 64;  // cache line; covers 32-byte AVX loads
 
 thread_local Workspace* t_bound_workspace = nullptr;
 
+// Bytes a lane needs for `count` floats. aligned_alloc requires the size to
+// be a multiple of the alignment.
+int64_t AlignedBytes(int64_t count) {
+  int64_t bytes = count * static_cast<int64_t>(sizeof(float));
+  return (bytes + kAlignment - 1) / kAlignment * kAlignment;
+}
+
 }  // namespace
 
 void WorkspaceLane::FreeDeleter::operator()(float* p) const { std::free(p); }
@@ -20,9 +28,7 @@ WorkspaceLane::~WorkspaceLane() = default;
 
 float* WorkspaceLane::Floats(int64_t count) {
   EOS_CHECK_GE(count, 0);
-  int64_t bytes = count * static_cast<int64_t>(sizeof(float));
-  // aligned_alloc requires the size to be a multiple of the alignment.
-  bytes = (bytes + kAlignment - 1) / kAlignment * kAlignment;
+  int64_t bytes = AlignedBytes(count);
   if (bytes > capacity_bytes_) {
     // Scratch contents never survive a call, so grow by realloc-free
     // replace instead of copy.
@@ -37,11 +43,21 @@ float* WorkspaceLane::Floats(int64_t count) {
 
 LaneGuard::~LaneGuard() { pool_->Release(lane_); }
 
-LaneGuard Workspace::AcquireLane() {
+LaneGuard Workspace::AcquireLane(int64_t floats) {
+  int64_t need = AlignedBytes(floats);
   std::lock_guard<std::mutex> lock(mu_);
   if (!free_.empty()) {
-    WorkspaceLane* lane = free_.back();
-    free_.pop_back();
+    // Best fit: the smallest lane that already fits, else the largest one.
+    auto better = [need](const WorkspaceLane* a, const WorkspaceLane* b) {
+      bool a_fits = a->CapacityBytes() >= need;
+      bool b_fits = b->CapacityBytes() >= need;
+      if (a_fits != b_fits) return a_fits;
+      return a_fits ? a->CapacityBytes() < b->CapacityBytes()
+                    : a->CapacityBytes() > b->CapacityBytes();
+    };
+    auto it = std::min_element(free_.begin(), free_.end(), better);
+    WorkspaceLane* lane = *it;
+    free_.erase(it);
     return LaneGuard(this, lane);
   }
   lanes_.push_back(std::make_unique<WorkspaceLane>());

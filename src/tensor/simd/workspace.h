@@ -82,10 +82,14 @@ class Workspace {
   Workspace(const Workspace&) = delete;
   Workspace& operator=(const Workspace&) = delete;
 
-  /// Pops a free lane (creating one only when every existing lane is in
-  /// use, so the pool size converges to the peak concurrency — bounded by
-  /// the runtime pool's thread count plus the caller).
-  LaneGuard AcquireLane();
+  /// Pops the free lane that best fits a request for `floats` floats: the
+  /// smallest one that already holds that many, else the largest one (so
+  /// the fewest bytes grow). A lane is created only when every existing
+  /// lane is in use, so the pool size converges to the peak concurrency —
+  /// bounded by the runtime pool's thread count plus the caller. Best fit
+  /// keeps a rare large request (conv backward's tile lane) from growing
+  /// every lane in the pool to its size.
+  LaneGuard AcquireLane(int64_t floats);
 
   /// Total capacity across all lanes, busy or free. Stable once warmed up.
   int64_t TotalCapacityBytes() const;

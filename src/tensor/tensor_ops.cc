@@ -11,10 +11,8 @@
 namespace eos {
 namespace {
 
-// Element-wise loops are memory-bound; a chunk must amortize the runtime's
-// per-chunk claim, so the grain is large. Writes are disjoint per chunk,
-// making every element-wise op bitwise-deterministic at any thread count.
-constexpr int64_t kElemGrain = 1 << 14;
+// The runtime's element-wise grain (see runtime/parallel_for.h).
+constexpr int64_t kElemGrain = runtime::kElementGrain;
 // Row-wise ops (softmax, argmax) do real work per row; smaller grain.
 constexpr int64_t kRowGrain = 16;
 // Reductions accumulate per-chunk partials (fixed chunking from the element

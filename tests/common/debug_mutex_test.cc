@@ -213,5 +213,34 @@ TEST(DebugMutexTest, EnableMidRunStartsCleanAndDisableFreezes) {
   lock_order::SetEnabled(false);
 }
 
+/// Locks `mu` from its destructor, i.e. during thread exit.
+struct LocksAtThreadExit {
+  DebugMutex* mu = nullptr;
+  ~LocksAtThreadExit() {
+    if (mu != nullptr) std::lock_guard<DebugMutex> lock(*mu);
+  }
+};
+
+TEST(DebugMutexTest, LockingAfterThreadStateTeardownIsSafe) {
+  // thread_local destructors run in reverse construction order. `guard` is
+  // constructed before the thread's first tracked acquisition creates the
+  // detector's per-thread state, so the state is destroyed first and the
+  // lock in ~LocksAtThreadExit arrives after it — the same order as a
+  // static destructor locking on the main thread at process exit. The
+  // hooks must skip it instead of touching the freed state (ASan-checked
+  // in the sanitizer build).
+  ScopedDetect detect;
+  DebugMutex mu("test.thread_exit");
+  std::thread worker([&mu] {
+    thread_local LocksAtThreadExit guard;
+    guard.mu = &mu;
+    std::lock_guard<DebugMutex> lock(mu);
+    EXPECT_EQ(lock_order::HeldCount(), 1);
+  });
+  worker.join();
+  std::lock_guard<DebugMutex> lock(mu);
+  EXPECT_EQ(lock_order::HeldCount(), 1);
+}
+
 }  // namespace
 }  // namespace eos

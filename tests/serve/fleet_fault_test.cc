@@ -1,3 +1,5 @@
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdio>
 #include <map>
@@ -32,8 +34,10 @@ nn::ImageClassifier SmallNet(uint64_t seed) {
 
 nn::ImageClassifier FactoryNet() { return SmallNet(424242); }
 
+// The pid keeps this suite and its *_eos_deadlock_detect twin, which ctest
+// may run at the same time, from deleting each other's files.
 std::string TempPath(const char* name) {
-  return ::testing::TempDir() + "/" + name;
+  return ::testing::TempDir() + "/" + std::to_string(getpid()) + "_" + name;
 }
 
 std::shared_ptr<ModelSession> MakeCheckpoint(const std::string& path,

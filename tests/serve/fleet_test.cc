@@ -1,5 +1,7 @@
 #include "serve/fleet.h"
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdio>
 #include <string>
@@ -29,8 +31,10 @@ nn::ImageClassifier SmallNet(uint64_t seed) {
 /// init seed (the checkpoint load overwrites the weights anyway).
 nn::ImageClassifier FactoryNet() { return SmallNet(424242); }
 
+// The pid keeps this suite and its *_eos_deadlock_detect twin, which ctest
+// may run at the same time, from deleting each other's files.
 std::string TempPath(const char* name) {
-  return ::testing::TempDir() + "/" + name;
+  return ::testing::TempDir() + "/" + std::to_string(getpid()) + "_" + name;
 }
 
 /// Saves a warm (BN statistics moved) net seeded with `seed` as a training

@@ -1,7 +1,10 @@
 #include "serve/server.h"
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -25,8 +28,10 @@ nn::ImageClassifier SmallNet(uint64_t seed) {
   return nn::BuildResNet(config, rng);
 }
 
+// The pid keeps this suite and its *_eos_deadlock_detect twin, which ctest
+// may run at the same time, from deleting each other's files.
 std::string TempPath(const char* name) {
-  return ::testing::TempDir() + "/" + name;
+  return ::testing::TempDir() + "/" + std::to_string(getpid()) + "_" + name;
 }
 
 void RemoveSnapshot(const std::string& path) {

@@ -1,5 +1,7 @@
 #include "tensor/im2col.h"
 
+#include <cmath>
+#include <cstring>
 #include <tuple>
 #include <vector>
 
@@ -130,6 +132,115 @@ TEST(Im2ColTest, PaddingProducesZeros) {
       EXPECT_EQ(col[static_cast<size_t>(i)], 0.0f);
     }
   }
+}
+
+// The straightforward per-element bounds-tested loops. Im2Col/Col2Im hoist
+// the bounds out of the inner loop, which must not change a single bit:
+// the same values are copied, and each image-gradient element receives its
+// adds in the same order.
+void ReferenceIm2Col(const float* image, int64_t channels, int64_t height,
+                     int64_t width, int64_t kh, int64_t kw, int64_t stride,
+                     int64_t pad, float* col) {
+  int64_t out_h = ConvOutSize(height, kh, stride, pad);
+  int64_t out_w = ConvOutSize(width, kw, stride, pad);
+  for (int64_t c = 0; c < channels; ++c) {
+    for (int64_t i = 0; i < kh; ++i) {
+      for (int64_t j = 0; j < kw; ++j) {
+        float* row = col + ((c * kh + i) * kw + j) * out_h * out_w;
+        for (int64_t oy = 0; oy < out_h; ++oy) {
+          for (int64_t ox = 0; ox < out_w; ++ox) {
+            int64_t iy = oy * stride - pad + i;
+            int64_t ix = ox * stride - pad + j;
+            bool inside = iy >= 0 && iy < height && ix >= 0 && ix < width;
+            row[oy * out_w + ox] =
+                inside ? image[(c * height + iy) * width + ix] : 0.0f;
+          }
+        }
+      }
+    }
+  }
+}
+
+void ReferenceCol2Im(const float* col, int64_t channels, int64_t height,
+                     int64_t width, int64_t kh, int64_t kw, int64_t stride,
+                     int64_t pad, float* image_grad) {
+  int64_t out_h = ConvOutSize(height, kh, stride, pad);
+  int64_t out_w = ConvOutSize(width, kw, stride, pad);
+  for (int64_t c = 0; c < channels; ++c) {
+    for (int64_t i = 0; i < kh; ++i) {
+      for (int64_t j = 0; j < kw; ++j) {
+        const float* row = col + ((c * kh + i) * kw + j) * out_h * out_w;
+        for (int64_t oy = 0; oy < out_h; ++oy) {
+          for (int64_t ox = 0; ox < out_w; ++ox) {
+            int64_t iy = oy * stride - pad + i;
+            int64_t ix = ox * stride - pad + j;
+            if (iy >= 0 && iy < height && ix >= 0 && ix < width) {
+              image_grad[(c * height + iy) * width + ix] +=
+                  row[oy * out_w + ox];
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Im2ColTest, HoistedBoundsMatchPerElementLoopsBitwise) {
+  // Grid over kernel, stride, pad and (non-square, tiny) extents, including
+  // kernels wider than the unpadded image and strides that skip columns.
+  const int64_t channels = 3;
+  int configs = 0;
+  for (int64_t k : {1, 2, 3, 5}) {
+    for (int64_t stride : {1, 2, 3}) {
+      for (int64_t pad : {0, 1, 2}) {
+        for (int64_t h : {1, 3, 4, 8}) {
+          for (int64_t w : {1, 2, 5, 7, 16}) {
+            int64_t oh = ConvOutSize(h, k, stride, pad);
+            int64_t ow = ConvOutSize(w, k, stride, pad);
+            if (h + 2 * pad < k || w + 2 * pad < k) continue;
+            ASSERT_GT(oh, 0);
+            ASSERT_GT(ow, 0);
+            ++configs;
+            Rng rng(static_cast<uint64_t>(k * 1000 + stride * 100 +
+                                          pad * 10 + h * w));
+            std::vector<float> image(static_cast<size_t>(channels * h * w));
+            for (auto& v : image) v = rng.Uniform(-1.0f, 1.0f);
+            image[0] = -0.0f;  // copied, never re-materialized as +0
+            if (image.size() > 1) image[1] = NAN;
+            size_t col_size = static_cast<size_t>(channels * k * k * oh * ow);
+            std::vector<float> got(col_size, 7.0f);
+            std::vector<float> want(col_size, -7.0f);
+            Im2Col(image.data(), channels, h, w, k, k, stride, pad,
+                   got.data());
+            ReferenceIm2Col(image.data(), channels, h, w, k, k, stride, pad,
+                            want.data());
+            ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                  col_size * sizeof(float)),
+                      0)
+                << "im2col k=" << k << " stride=" << stride << " pad=" << pad
+                << " h=" << h << " w=" << w;
+
+            std::vector<float> grad(col_size);
+            for (auto& v : grad) v = rng.Uniform(-1.0f, 1.0f);
+            // Pre-filled accumulators: Col2Im adds onto existing values.
+            std::vector<float> got_img(image.size());
+            for (auto& v : got_img) v = rng.Uniform(-1.0f, 1.0f);
+            std::vector<float> want_img = got_img;
+            Col2Im(grad.data(), channels, h, w, k, k, stride, pad,
+                   got_img.data());
+            ReferenceCol2Im(grad.data(), channels, h, w, k, k, stride, pad,
+                            want_img.data());
+            ASSERT_EQ(std::memcmp(got_img.data(), want_img.data(),
+                                  got_img.size() * sizeof(float)),
+                      0)
+                << "col2im k=" << k << " stride=" << stride << " pad=" << pad
+                << " h=" << h << " w=" << w;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(configs, 300);
 }
 
 TEST(ConvOutSizeTest, StandardCases) {

@@ -1,3 +1,4 @@
+#include <cmath>
 #include <cstring>
 #include <tuple>
 #include <vector>
@@ -5,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "runtime/thread_pool.h"
 #include "tensor/im2col.h"
 #include "tensor/simd/dispatch.h"
 
@@ -199,6 +201,271 @@ TEST(SimdConvBatchTest, BatchCompositionIsBitwiseIrrelevantPerPath) {
                             static_cast<size_t>(out_numel) * sizeof(float)),
                 0)
           << "image " << img << " on " << IsaName(isa);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Conv backward (KernelTable::conv2d_backward).
+
+/// Gradients of one backward call. `*_scale` hold, per element, the sum of
+/// |terms| the double reference added up: the error budget of a float
+/// accumulation scales with it, not with the (possibly cancelling) result.
+struct ConvGrads {
+  std::vector<float> dx;
+  std::vector<float> dw;
+  std::vector<float> db;
+  std::vector<double> dx_scale;
+  std::vector<double> dw_scale;
+  std::vector<double> db_scale;
+};
+
+/// Double-precision direct backward: the obviously-correct reference.
+ConvGrads DirectConvBackward(const std::vector<float>& x,
+                             const std::vector<float>& weight,
+                             const std::vector<float>& dy, const ConvShape& s,
+                             bool with_bias) {
+  int64_t ckk = s.in_channels * s.kernel_h * s.kernel_w;
+  int64_t in_numel = s.in_channels * s.height * s.width;
+  std::vector<double> dx(static_cast<size_t>(s.batch * in_numel), 0.0);
+  std::vector<double> dw(static_cast<size_t>(s.out_channels * ckk), 0.0);
+  std::vector<double> db(with_bias ? static_cast<size_t>(s.out_channels) : 0,
+                         0.0);
+  ConvGrads g;
+  g.dx_scale.assign(dx.size(), 0.0);
+  g.dw_scale.assign(dw.size(), 0.0);
+  g.db_scale.assign(db.size(), 0.0);
+  for (int64_t img = 0; img < s.batch; ++img) {
+    for (int64_t oc = 0; oc < s.out_channels; ++oc) {
+      for (int64_t oy = 0; oy < s.out_h; ++oy) {
+        for (int64_t ox = 0; ox < s.out_w; ++ox) {
+          double g_out = dy[static_cast<size_t>(
+              ((img * s.out_channels + oc) * s.out_h + oy) * s.out_w + ox)];
+          if (with_bias) {
+            db[static_cast<size_t>(oc)] += g_out;
+            g.db_scale[static_cast<size_t>(oc)] += std::fabs(g_out);
+          }
+          for (int64_t ic = 0; ic < s.in_channels; ++ic) {
+            for (int64_t ky = 0; ky < s.kernel_h; ++ky) {
+              for (int64_t kx = 0; kx < s.kernel_w; ++kx) {
+                int64_t iy = oy * s.stride - s.pad + ky;
+                int64_t ix = ox * s.stride - s.pad + kx;
+                if (iy < 0 || iy >= s.height || ix < 0 || ix >= s.width) {
+                  continue;
+                }
+                size_t xi = static_cast<size_t>(
+                    img * in_numel + (ic * s.height + iy) * s.width + ix);
+                size_t wi = static_cast<size_t>(
+                    oc * ckk + (ic * s.kernel_h + ky) * s.kernel_w + kx);
+                dx[xi] += g_out * weight[wi];
+                g.dx_scale[xi] += std::fabs(g_out * weight[wi]);
+                dw[wi] += g_out * x[xi];
+                g.dw_scale[wi] += std::fabs(g_out * x[xi]);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  g.dx.assign(dx.begin(), dx.end());
+  g.dw.assign(dw.begin(), dw.end());
+  g.db.assign(db.begin(), db.end());
+  return g;
+}
+
+/// One table call on fresh buffers (dx, dw, db zero-initialized).
+ConvGrads RunBackward(const KernelTable& table, const std::vector<float>& x,
+                      const std::vector<float>& weight,
+                      const std::vector<float>& dy, const ConvShape& s,
+                      bool with_bias) {
+  ConvGrads g;
+  g.dx.assign(x.size(), 0.0f);
+  g.dw.assign(weight.size(), 0.0f);
+  g.db.assign(with_bias ? static_cast<size_t>(s.out_channels) : 0, 0.0f);
+  table.conv2d_backward(x.data(), weight.data(), dy.data(), g.dx.data(),
+                        g.dw.data(), with_bias ? g.db.data() : nullptr, s);
+  return g;
+}
+
+bool BitwiseEqual(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+/// |got - want| within a float-accumulation budget relative to `scale`.
+void ExpectNearScaled(const std::vector<float>& got,
+                      const std::vector<float>& want,
+                      const std::vector<double>& scale, const char* what,
+                      const char* path) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    double tol = 2e-5 * scale[i] + 1e-5;
+    ASSERT_NEAR(got[i], want[i], tol)
+        << what << " on " << path << " flat index " << i;
+  }
+}
+
+/// (c_in, hw, c_out, k, stride, pad, batch, with_bias). The ResNet-8 conv
+/// shapes of the paper pipeline (width 8, 16x16 images) plus bias-on
+/// variants; batches of 20+ so every chunk of the fixed 8-chunk split
+/// holds several images.
+class SimdConvBackwardTest
+    : public ::testing::TestWithParam<
+          std::tuple<int, int, int, int, int, int, int, bool>> {
+ protected:
+  void TearDown() override { runtime::SetThreadCount(1); }
+
+  ConvShape Shape() const {
+    const auto& p = GetParam();
+    return MakeShape(std::get<6>(p), std::get<0>(p), std::get<1>(p),
+                     std::get<1>(p), std::get<2>(p), std::get<3>(p),
+                     std::get<4>(p), std::get<5>(p));
+  }
+  bool WithBias() const { return std::get<7>(GetParam()); }
+};
+
+TEST_P(SimdConvBackwardTest, MatchesDirectReferenceAndPathsAgree) {
+  ConvShape s = Shape();
+  std::vector<float> x =
+      RandomVec(s.batch * s.in_channels * s.height * s.width, 41);
+  std::vector<float> weight = RandomVec(
+      s.out_channels * s.in_channels * s.kernel_h * s.kernel_w, 42);
+  std::vector<float> dy =
+      RandomVec(s.batch * s.out_channels * s.out_h * s.out_w, 43);
+  ConvGrads ref = DirectConvBackward(x, weight, dy, s, WithBias());
+
+  std::vector<ConvGrads> per_path;
+  for (Isa isa : RunnableIsas()) {
+    ConvGrads got = RunBackward(Table(isa), x, weight, dy, s, WithBias());
+    ExpectNearScaled(got.dx, ref.dx, ref.dx_scale, "dx", IsaName(isa));
+    ExpectNearScaled(got.dw, ref.dw, ref.dw_scale, "dw", IsaName(isa));
+    ExpectNearScaled(got.db, ref.db, ref.db_scale, "db", IsaName(isa));
+    per_path.push_back(std::move(got));
+  }
+  // Scalar vs AVX2 (FMA rounds once where mul+add rounds twice): the same
+  // budget, measured between the paths instead of against the reference.
+  for (size_t p = 1; p < per_path.size(); ++p) {
+    ExpectNearScaled(per_path[p].dx, per_path[0].dx, ref.dx_scale,
+                     "dx scalar-vs-avx2", "both");
+    ExpectNearScaled(per_path[p].dw, per_path[0].dw, ref.dw_scale,
+                     "dw scalar-vs-avx2", "both");
+    ExpectNearScaled(per_path[p].db, per_path[0].db, ref.db_scale,
+                     "db scalar-vs-avx2", "both");
+  }
+}
+
+TEST_P(SimdConvBackwardTest, EachPathIsBitwiseThreadCountInvariant) {
+  ConvShape s = Shape();
+  std::vector<float> x =
+      RandomVec(s.batch * s.in_channels * s.height * s.width, 51);
+  std::vector<float> weight = RandomVec(
+      s.out_channels * s.in_channels * s.kernel_h * s.kernel_w, 52);
+  std::vector<float> dy =
+      RandomVec(s.batch * s.out_channels * s.out_h * s.out_w, 53);
+  for (Isa isa : RunnableIsas()) {
+    runtime::SetThreadCount(1);
+    ConvGrads one = RunBackward(Table(isa), x, weight, dy, s, WithBias());
+    runtime::SetThreadCount(4);
+    ConvGrads four = RunBackward(Table(isa), x, weight, dy, s, WithBias());
+    EXPECT_TRUE(BitwiseEqual(one.dx, four.dx)) << "dx on " << IsaName(isa);
+    EXPECT_TRUE(BitwiseEqual(one.dw, four.dw)) << "dw on " << IsaName(isa);
+    EXPECT_TRUE(BitwiseEqual(one.db, four.db)) << "db on " << IsaName(isa);
+  }
+}
+
+TEST_P(SimdConvBackwardTest, InputGradientIsBitwiseBatchCompositionInvariant) {
+  // dx of an image depends only on that image's dY and W, so it must not
+  // change a bit when the image is processed alone or in a different
+  // chunk (dW/db do depend on the chunking; that is the tile reduction).
+  ConvShape s = Shape();
+  ConvShape single = s;
+  single.batch = 1;
+  int64_t in_numel = s.in_channels * s.height * s.width;
+  int64_t out_numel = s.out_channels * s.out_h * s.out_w;
+  std::vector<float> x = RandomVec(s.batch * in_numel, 61);
+  std::vector<float> weight = RandomVec(
+      s.out_channels * s.in_channels * s.kernel_h * s.kernel_w, 62);
+  std::vector<float> dy = RandomVec(s.batch * out_numel, 63);
+  runtime::SetThreadCount(4);
+  for (Isa isa : RunnableIsas()) {
+    const KernelTable& table = Table(isa);
+    ConvGrads full = RunBackward(table, x, weight, dy, s, WithBias());
+    for (int64_t img = 0; img < s.batch; ++img) {
+      std::vector<float> xi(x.begin() + img * in_numel,
+                            x.begin() + (img + 1) * in_numel);
+      std::vector<float> dyi(dy.begin() + img * out_numel,
+                             dy.begin() + (img + 1) * out_numel);
+      ConvGrads one = RunBackward(table, xi, weight, dyi, single, WithBias());
+      EXPECT_EQ(std::memcmp(one.dx.data(), full.dx.data() + img * in_numel,
+                            static_cast<size_t>(in_numel) * sizeof(float)),
+                0)
+          << "image " << img << " on " << IsaName(isa);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ResNet8Shapes, SimdConvBackwardTest,
+    ::testing::Values(
+        // stem 3->8 and stage-1 8->8 at 16x16.
+        std::make_tuple(3, 16, 8, 3, 1, 1, 20, false),
+        std::make_tuple(8, 16, 8, 3, 1, 1, 24, false),
+        // stage 2: stride-2 3x3, 16->16 at 8x8, 1x1 pad-0 projection.
+        std::make_tuple(8, 16, 16, 3, 2, 1, 20, false),
+        std::make_tuple(16, 8, 16, 3, 1, 1, 24, false),
+        std::make_tuple(8, 16, 16, 1, 2, 0, 20, false),
+        // stage 3: stride-2 3x3, 32->32 at 4x4, 1x1 pad-0 projection.
+        std::make_tuple(16, 8, 32, 3, 2, 1, 20, false),
+        std::make_tuple(32, 4, 32, 3, 1, 1, 24, false),
+        std::make_tuple(16, 8, 32, 1, 2, 0, 21, false),
+        // bias on: 3x3 and 1x1, odd extents, stride 2.
+        std::make_tuple(8, 8, 16, 3, 1, 1, 20, true),
+        std::make_tuple(4, 9, 8, 1, 1, 0, 22, true),
+        std::make_tuple(6, 9, 8, 3, 2, 1, 23, true)));
+
+TEST(SimdConvBackwardNanTest, ZeroOperandsStillPropagateInfAsNan) {
+  // No zero-operand skip anywhere: 0 * Inf must reach the gradients as NaN.
+  ConvShape s = MakeShape(/*batch=*/20, 4, 6, 6, 5, 3, 1, 1);
+  int64_t in_numel = s.in_channels * s.height * s.width;
+  int64_t ckk = s.in_channels * 9;
+  for (Isa isa : RunnableIsas()) {
+    const KernelTable& table = Table(isa);
+    {
+      // dx = col2im(W^T dY) with W == 0 and one Inf in dY: every dcol
+      // entry of that output position is 0 * Inf = NaN, so the input
+      // pixel (c, 0, 0) of image 0, which that position reads for every
+      // c, must come back NaN.
+      std::vector<float> x = RandomVec(s.batch * in_numel, 71);
+      std::vector<float> weight(static_cast<size_t>(s.out_channels * ckk),
+                                0.0f);
+      std::vector<float> dy(
+          static_cast<size_t>(s.batch * s.out_channels * s.out_h * s.out_w),
+          0.0f);
+      dy[0] = INFINITY;
+      ConvGrads g = RunBackward(table, x, weight, dy, s, /*with_bias=*/false);
+      for (int64_t c = 0; c < s.in_channels; ++c) {
+        EXPECT_TRUE(std::isnan(g.dx[static_cast<size_t>(c * 36)]))
+            << "dx channel " << c << " on " << IsaName(isa);
+      }
+    }
+    {
+      // dW = sum dY * im2col(x) with dY == 0 and one Inf pixel in x: the
+      // weight taps that read the pixel see 0 * Inf = NaN, for every
+      // output channel.
+      std::vector<float> x = RandomVec(s.batch * in_numel, 72);
+      x[0] = INFINITY;
+      std::vector<float> weight = RandomVec(s.out_channels * ckk, 73);
+      std::vector<float> dy(
+          static_cast<size_t>(s.batch * s.out_channels * s.out_h * s.out_w),
+          0.0f);
+      ConvGrads g = RunBackward(table, x, weight, dy, s, /*with_bias=*/false);
+      for (int64_t oc = 0; oc < s.out_channels; ++oc) {
+        // Tap (c=0, ky=1, kx=1) reads pixel (0, 0) at output (0, 0).
+        EXPECT_TRUE(std::isnan(g.dw[static_cast<size_t>(oc * ckk + 4)]))
+            << "dw row " << oc << " on " << IsaName(isa);
+      }
     }
   }
 }

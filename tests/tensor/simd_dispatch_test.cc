@@ -10,6 +10,7 @@
 #include "common/rng.h"
 #include "runtime/thread_pool.h"
 #include "tensor/matmul.h"
+#include "tensor/simd/workspace.h"
 #include "tensor/tensor.h"
 
 namespace eos::simd {
@@ -226,6 +227,39 @@ TEST(SimdDispatchTest, EpiloguesAreBitwiseIdenticalAcrossPaths) {
   scalar.softmax_rows(logits.data(), sa.data(), rows, n);
   avx2.softmax_rows(logits.data(), sb.data(), rows, n);
   EXPECT_TRUE(BitwiseEqual(sa, sb)) << "softmax_rows diverged";
+}
+
+/// A lane request takes the best-fitting free lane, so a rare large
+/// request (conv backward's tile lane) does not grow the small lanes: once
+/// one small and one large lane exist, requests of both sizes in either
+/// acquisition order reuse them without growing anything.
+TEST(WorkspaceTest, LaneRequestsTakeTheBestFittingFreeLane) {
+  const int64_t small_floats = 1000;
+  const int64_t large_floats = 100000;
+  Workspace ws;
+  {
+    LaneGuard small = ws.AcquireLane(small_floats);
+    small.lane().Floats(small_floats);
+    LaneGuard large = ws.AcquireLane(large_floats);
+    large.lane().Floats(large_floats);
+  }
+  const int64_t settled = ws.TotalCapacityBytes();
+  for (int round = 0; round < 3; ++round) {
+    {
+      LaneGuard large = ws.AcquireLane(large_floats);
+      LaneGuard small = ws.AcquireLane(small_floats);
+      large.lane().Floats(large_floats);
+      small.lane().Floats(small_floats);
+    }
+    {
+      LaneGuard small = ws.AcquireLane(small_floats);
+      LaneGuard large = ws.AcquireLane(large_floats);
+      small.lane().Floats(small_floats);
+      large.lane().Floats(large_floats);
+    }
+  }
+  EXPECT_EQ(ws.TotalCapacityBytes(), settled);
+  EXPECT_EQ(ws.LaneCount(), 2);
 }
 
 }  // namespace
