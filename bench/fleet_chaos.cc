@@ -43,6 +43,7 @@
 #include "nn/resnet.h"
 #include "serve/canary.h"
 #include "serve/fleet.h"
+#include "serve/resilience.h"
 #include "serve/supervisor.h"
 #include "tensor/tensor_ops.h"
 #include "testing/fault_injection.h"
@@ -215,15 +216,13 @@ int main(int argc, char** argv) {
         uint64_t key = n % num_keys;
         size_t image_index = static_cast<size_t>(n % pool.size());
         eos::Result<eos::serve::Prediction> served =
-            (*fleet)->Predict(key, pool[image_index].Clone());
+            eos::serve::RetryTransient([&] {
+              return (*fleet)->Predict(key, pool[image_index].Clone());
+            });
         if (!served.ok()) {
-          eos::StatusCode code = served.status().code();
-          if (code == eos::StatusCode::kUnavailable ||
-              code == eos::StatusCode::kResourceExhausted) {
-            std::this_thread::yield();
-            continue;  // transient: breaker cooldown or backpressure
+          if (served.status().code() == eos::StatusCode::kFailedPrecondition) {
+            break;  // drained
           }
-          if (code == eos::StatusCode::kFailedPrecondition) break;  // drained
           terminal_failures.fetch_add(1);
           std::fprintf(stderr, "terminal failure: %s\n",
                        served.status().ToString().c_str());

@@ -1,8 +1,5 @@
 #include "serve/resilience.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/check.h"
 #include "common/string_util.h"
 #include "common/thread_annotations.h"
@@ -23,21 +20,18 @@ std::string ReplicaDownPoint(int replica) {
   return StrFormat("%s.%d", kReplicaDownFault, replica);
 }
 
-int64_t RetryPolicy::BackoffUs(int attempt, Rng& rng) const {
-  EOS_CHECK_GE(attempt, 1);
-  double backoff = static_cast<double>(initial_backoff_us) *
-                   std::pow(backoff_multiplier, attempt - 1);
-  backoff = std::min(backoff, static_cast<double>(max_backoff_us));
-  // One draw per computed backoff even when jitter is 0, so turning jitter
-  // on or off does not shift the rest of a seeded client's random sequence.
-  double u = rng.UniformDouble();
-  backoff *= 1.0 - jitter * u;
-  return static_cast<int64_t>(backoff);
-}
-
-bool RetryPolicy::IsRetryable(const Status& status) {
+bool IsTransient(const Status& status) {
   return status.code() == StatusCode::kUnavailable ||
          status.code() == StatusCode::kResourceExhausted;
+}
+
+Result<Prediction> RetryTransient(
+    const std::function<Result<Prediction>()>& attempt) {
+  for (;;) {
+    Result<Prediction> result = attempt();
+    if (result.ok() || !IsTransient(result.status())) return result;
+    std::this_thread::yield();
+  }
 }
 
 CircuitBreaker::CircuitBreaker(const CircuitBreakerOptions& options)

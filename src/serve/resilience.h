@@ -6,22 +6,23 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
+#include "serve/model_session.h"
 
 /// \file
-/// Failure-handling policy for the serving layer: bounded retries with
-/// deterministic jittered backoff, per-replica circuit breakers fed by both
-/// explicit failures and a heartbeat stall watchdog, and replica selection
-/// that routes around tripped breakers. The Server composes these
-/// (serve/server.h); each piece is independently testable here. See
-/// DESIGN.md "Resilience & checkpointing".
+/// Failure handling for the serving layer. Server side: per-replica circuit
+/// breakers fed by both explicit failures and a heartbeat stall watchdog,
+/// and replica selection that routes around tripped breakers; the Server
+/// composes these (serve/server.h). Client side: RetryTransient, the one
+/// retry loop every caller shares. Each piece is independently testable
+/// here. See DESIGN.md "Resilience & checkpointing".
 
 namespace eos::serve {
 
@@ -35,32 +36,20 @@ inline constexpr char kReplicaDownFault[] = "serve.replica_down";
 /// Per-replica form of kReplicaDownFault: "serve.replica_down.<replica>".
 std::string ReplicaDownPoint(int replica);
 
-/// Bounded-retry policy with exponential backoff and deterministic jitter.
-/// Jitter draws from a caller-owned Rng, so a seeded client retries on an
-/// exactly reproducible schedule — load tests with failover stay
-/// deterministic end to end.
-struct RetryPolicy {
-  /// Total tries including the first (1 = no retries). Must be >= 1.
-  int max_attempts = 3;
-  /// Backoff before the first retry.
-  int64_t initial_backoff_us = 1000;
-  /// Growth factor per retry (attempt k waits initial * multiplier^(k-1)).
-  double backoff_multiplier = 2.0;
-  /// Cap applied before jitter.
-  int64_t max_backoff_us = 100000;
-  /// Fraction of the backoff randomized away: the wait is uniform in
-  /// [(1 - jitter) * backoff, backoff]. 0 = fixed schedule.
-  double jitter = 0.5;
+/// True for failures worth re-submitting: Unavailable (replica down / no
+/// healthy replica) and ResourceExhausted (backpressure, shed).
+/// DeadlineExceeded is terminal — the time is already spent — and
+/// FailedPrecondition (shutdown) will never heal.
+bool IsTransient(const Status& status);
 
-  /// Wait before retry `attempt` (1-based). Consumes one draw from `rng`.
-  int64_t BackoffUs(int attempt, Rng& rng) const;
-
-  /// True for transient failures worth re-submitting: Unavailable (replica
-  /// down / no healthy replica) and ResourceExhausted (backpressure, shed).
-  /// DeadlineExceeded is terminal — the time is already spent — and
-  /// FailedPrecondition (shutdown) will never heal.
-  static bool IsRetryable(const Status& status);
-};
+/// The one client-side retry loop: calls `attempt` until it returns a
+/// prediction or a non-transient error, yielding between tries. There is
+/// no attempt cap and no backoff — a patient client retries until it gets
+/// an answer or a terminal error. After Shutdown, Submit fails with
+/// FailedPrecondition, which ends the loop. `attempt` runs once per try,
+/// so each call must send a new request (Submit takes its image by value).
+Result<Prediction> RetryTransient(
+    const std::function<Result<Prediction>()>& attempt);
 
 struct CircuitBreakerOptions {
   /// Consecutive failures that trip the breaker open. Must be >= 1.

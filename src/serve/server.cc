@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstring>
-#include <thread>
 #include <utility>
 
 #include "common/check.h"
@@ -88,28 +87,6 @@ Result<Prediction> Server::Predict(Tensor image,
   EOS_ASSIGN_OR_RETURN(std::future<Result<Prediction>> future,
                        Submit(std::move(image), submit_options));
   return future.get();
-}
-
-Result<Prediction> Server::PredictWithRetry(
-    const Tensor& image, const RetryPolicy& policy, Rng& rng,
-    const SubmitOptions& submit_options) {
-  EOS_CHECK_GE(policy.max_attempts, 1);
-  Status last = Status::Unavailable("no attempt made");
-  for (int attempt = 0; attempt < policy.max_attempts; ++attempt) {
-    if (attempt > 0) {
-      stats_.RecordRetry();
-      int64_t backoff_us = policy.BackoffUs(attempt, rng);
-      if (backoff_us > 0) {
-        std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
-      }
-    }
-    // Submit consumes the image, so each attempt sends a fresh copy.
-    Result<Prediction> result = Predict(image.Clone(), submit_options);
-    if (result.ok()) return result;
-    last = result.status();
-    if (!RetryPolicy::IsRetryable(last)) return last;
-  }
-  return last;
 }
 
 bool Server::ServeOnce() {

@@ -7,7 +7,6 @@
 
 #include "common/condvar.h"
 #include "common/debug_mutex.h"
-#include "common/rng.h"
 #include "common/thread_annotations.h"
 #include "runtime/thread_pool.h"
 #include "serve/micro_batcher.h"
@@ -113,15 +112,6 @@ class Server {
   /// Blocking convenience: Submit then wait for the terminal result.
   Result<Prediction> Predict(Tensor image,
                              const SubmitOptions& submit_options = {});
-
-  /// Blocking Predict with bounded retries: transient failures
-  /// (Unavailable, ResourceExhausted) are re-submitted after a jittered
-  /// exponential backoff drawn from the caller's `rng` (seeded = the retry
-  /// schedule is reproducible). Terminal codes (DeadlineExceeded,
-  /// FailedPrecondition) and exhausted attempts return the last status.
-  Result<Prediction> PredictWithRetry(const Tensor& image,
-                                      const RetryPolicy& policy, Rng& rng,
-                                      const SubmitOptions& submit_options = {});
 
   /// Executes at most one micro-batch on the calling thread. Blocks until
   /// work arrives (or shutdown); returns false when shut down and drained.

@@ -82,10 +82,6 @@ void ServeStats::RecordReplicaFailure() {
   replica_failures_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void ServeStats::RecordRetry() {
-  retries_.fetch_add(1, std::memory_order_relaxed);
-}
-
 void ServeStats::RecordServedByVersion(int64_t version, int64_t count) {
   EOS_CHECK_GT(version, 0);
   EOS_CHECK_GE(count, 0);
@@ -144,7 +140,6 @@ StatsSnapshot ServeStats::Snapshot() const {
   s.shed = shed_.load(std::memory_order_relaxed);
   s.deadline_expired = deadline_expired_.load(std::memory_order_relaxed);
   s.replica_failures = replica_failures_.load(std::memory_order_relaxed);
-  s.retries = retries_.load(std::memory_order_relaxed);
   s.batches = batches_.load(std::memory_order_relaxed);
   s.swaps = swaps_.load(std::memory_order_relaxed);
   s.rollbacks = rollbacks_.load(std::memory_order_relaxed);
@@ -192,7 +187,7 @@ std::string StatsSnapshot::ToJson() const {
   return StrFormat(
       "{\"completed\": %lld, \"rejected\": %lld, \"shed\": %lld, "
       "\"deadline_expired\": %lld, \"replica_failures\": %lld, "
-      "\"retries\": %lld, \"batches\": %lld, \"swaps\": %lld, "
+      "\"batches\": %lld, \"swaps\": %lld, "
       "\"rollbacks\": %lld, \"replicas_replaced\": %lld, "
       "\"dropped_on_drain\": %lld, "
       "\"served_by_version\": %s, \"served_version_overflow\": %lld, "
@@ -202,7 +197,7 @@ std::string StatsSnapshot::ToJson() const {
       static_cast<long long>(completed), static_cast<long long>(rejected),
       static_cast<long long>(shed), static_cast<long long>(deadline_expired),
       static_cast<long long>(replica_failures),
-      static_cast<long long>(retries), static_cast<long long>(batches),
+      static_cast<long long>(batches),
       static_cast<long long>(swaps), static_cast<long long>(rollbacks),
       static_cast<long long>(replicas_replaced),
       static_cast<long long>(dropped_on_drain), versions.c_str(),
@@ -220,7 +215,6 @@ StatsSnapshot AggregateCounters(const std::vector<StatsSnapshot>& parts) {
     total.shed += p.shed;
     total.deadline_expired += p.deadline_expired;
     total.replica_failures += p.replica_failures;
-    total.retries += p.retries;
     total.batches += p.batches;
     total.swaps += p.swaps;
     total.rollbacks += p.rollbacks;

@@ -57,7 +57,6 @@ struct StatsSnapshot {
   int64_t shed = 0;            ///< sheddable requests refused past the mark
   int64_t deadline_expired = 0;  ///< accepted requests expired while queued
   int64_t replica_failures = 0;  ///< batches failed by a down replica
-  int64_t retries = 0;         ///< re-submissions made by PredictWithRetry
   int64_t batches = 0;         ///< micro-batches executed
   int64_t swaps = 0;           ///< model-version hot-swaps applied
   int64_t rollbacks = 0;       ///< swaps that restored a previous version
@@ -93,7 +92,7 @@ struct StatsSnapshot {
 };
 
 /// Sums the additive counters of `parts` (completed, rejected, shed,
-/// deadline_expired, replica_failures, retries, batches, swaps, rollbacks,
+/// deadline_expired, replica_failures, batches, swaps, rollbacks,
 /// replicas_replaced, dropped_on_drain, served_version_overflow,
 /// max_queue_depth as a max,
 /// served_by_version merged per version) into one fleet-level snapshot.
@@ -135,9 +134,6 @@ class ServeStats {
   /// Records one batch failed because its serving replica was down.
   void RecordReplicaFailure();
 
-  /// Records one retry re-submission.
-  void RecordRetry();
-
   /// Attributes `count` completed requests to model `version` (> 0). The
   /// per-version table is lock-free: a fixed open-addressed array of
   /// (version, count) atomics, so workers record from any thread at the
@@ -167,7 +163,6 @@ class ServeStats {
   std::atomic<int64_t> shed_{0};
   std::atomic<int64_t> deadline_expired_{0};
   std::atomic<int64_t> replica_failures_{0};
-  std::atomic<int64_t> retries_{0};
   std::atomic<int64_t> batches_{0};
   std::atomic<int64_t> batched_requests_{0};
   std::atomic<int64_t> swaps_{0};

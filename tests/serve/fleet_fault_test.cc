@@ -117,32 +117,26 @@ TEST_F(FleetFaultTest, ReplicaDownDuringCutoverServesEveryRequest) {
     clients.emplace_back([&, c] {
       for (int64_t r = c; r < total; r += 4) {
         int64_t i = r % images.size(0);
-        for (;;) {
-          Result<Prediction> served = (*fleet)->Predict(
-              static_cast<uint64_t>(r), SampleImage(images, i));
-          if (!served.ok()) {
-            // A batch that landed on the downed replica fails Unavailable;
-            // the drill's claim is that a retrying client ALWAYS gets an
-            // answer (the breaker reroutes to the healthy replica), so
-            // retry without limit and count terminal failures only.
-            if (served.status().code() == StatusCode::kUnavailable ||
-                served.status().code() == StatusCode::kResourceExhausted) {
-              std::this_thread::yield();
-              continue;
-            }
-            failed_requests.fetch_add(1);
-            ADD_FAILURE() << served.status().ToString();
-            break;
-          }
-          ASSERT_TRUE(served->version == 1 || served->version == 2);
-          const Prediction& expected =
-              served->version == 1 ? expected_v1[static_cast<size_t>(i)]
-                                   : expected_v2[static_cast<size_t>(i)];
-          EXPECT_EQ(served->label, expected.label);
-          EXPECT_EQ(served->confidence, expected.confidence);
-          (served->version == 1 ? served_v1 : served_v2).fetch_add(1);
-          break;
+        // A batch that landed on the downed replica fails Unavailable; the
+        // drill's claim is that a retrying client ALWAYS gets an answer
+        // (the breaker reroutes to the healthy replica), so retry without
+        // limit and count terminal failures only.
+        Result<Prediction> served = RetryTransient([&] {
+          return (*fleet)->Predict(static_cast<uint64_t>(r),
+                                   SampleImage(images, i));
+        });
+        if (!served.ok()) {
+          failed_requests.fetch_add(1);
+          ADD_FAILURE() << served.status().ToString();
+          continue;
         }
+        ASSERT_TRUE(served->version == 1 || served->version == 2);
+        const Prediction& expected =
+            served->version == 1 ? expected_v1[static_cast<size_t>(i)]
+                                 : expected_v2[static_cast<size_t>(i)];
+        EXPECT_EQ(served->label, expected.label);
+        EXPECT_EQ(served->confidence, expected.confidence);
+        (served->version == 1 ? served_v1 : served_v2).fetch_add(1);
       }
     });
   }

@@ -83,7 +83,6 @@ StatsSnapshot FixtureSnapshot() {
   s.shed = 2;
   s.deadline_expired = 3;
   s.replica_failures = 4;
-  s.retries = 5;
   s.batches = 6;
   s.swaps = 7;
   s.rollbacks = 2;
@@ -106,7 +105,7 @@ TEST(StatsGoldenTest, SnapshotJsonMatchesGoldenString) {
   EXPECT_EQ(
       FixtureSnapshot().ToJson(),
       "{\"completed\": 10, \"rejected\": 1, \"shed\": 2, "
-      "\"deadline_expired\": 3, \"replica_failures\": 4, \"retries\": 5, "
+      "\"deadline_expired\": 3, \"replica_failures\": 4, "
       "\"batches\": 6, \"swaps\": 7, \"rollbacks\": 2, "
       "\"replicas_replaced\": 1, "
       "\"dropped_on_drain\": 0, \"served_by_version\": {\"1\": 6, \"2\": 4}, "
@@ -138,7 +137,6 @@ TEST(StatsGoldenTest, AggregateCountersSumsAndMerges) {
   EXPECT_EQ(total.shed, 2);
   EXPECT_EQ(total.deadline_expired, 3);
   EXPECT_EQ(total.replica_failures, 4);
-  EXPECT_EQ(total.retries, 5);
   EXPECT_EQ(total.batches, 16);
   EXPECT_EQ(total.swaps, 8);
   EXPECT_EQ(total.rollbacks, 3);

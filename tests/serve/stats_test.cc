@@ -79,7 +79,7 @@ TEST(ServeStatsTest, JsonContainsEveryField) {
   std::string json = stats.Snapshot().ToJson();
   for (const char* key :
        {"\"completed\"", "\"rejected\"", "\"shed\"", "\"deadline_expired\"",
-        "\"replica_failures\"", "\"retries\"", "\"batches\"", "\"swaps\"",
+        "\"replica_failures\"", "\"batches\"", "\"swaps\"",
         "\"rollbacks\"", "\"dropped_on_drain\"", "\"served_by_version\"",
         "\"served_version_overflow\"",
         "\"mean_batch_size\"", "\"p50_us\"", "\"p95_us\"", "\"p99_us\"",
@@ -110,9 +110,6 @@ TEST(ServeStatsTest, ResilienceCountersAreSeparateFromCompleted) {
   stats.RecordDeadlineExpired();
   stats.RecordShed();
   stats.RecordReplicaFailure();
-  stats.RecordRetry();
-  stats.RecordRetry();
-  stats.RecordRetry();
 
   StatsSnapshot s = stats.Snapshot();
   // A request expired in queue was never served: it must not inflate
@@ -122,7 +119,6 @@ TEST(ServeStatsTest, ResilienceCountersAreSeparateFromCompleted) {
   EXPECT_EQ(s.shed, 1);
   EXPECT_EQ(s.rejected, 0);  // shed and rejected are distinct causes
   EXPECT_EQ(s.replica_failures, 1);
-  EXPECT_EQ(s.retries, 3);
 }
 
 TEST(ServeStatsTest, ConcurrentRecordingIsLossless) {

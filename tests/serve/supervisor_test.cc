@@ -13,6 +13,7 @@
 #include "core/checkpoint.h"
 #include "nn/resnet.h"
 #include "serve/fleet.h"
+#include "serve/resilience.h"
 #include "serve/supervisor.h"
 #include "tensor/tensor_ops.h"
 #include "testing/fault_injection.h"
@@ -129,19 +130,12 @@ TEST_F(SupervisorTest, PoisonedReplicaIsReplacedAndServingHeals) {
   // ...and the healed fleet answers bitwise-correctly (retry rides out any
   // residual breaker cooldown).
   for (uint64_t key = 0; key < 8; ++key) {
-    for (;;) {
-      Result<Prediction> served = (*fleet)->Predict(key, image);
-      if (!served.ok() &&
-          served.status().code() == StatusCode::kUnavailable) {
-        std::this_thread::yield();
-        continue;
-      }
-      ASSERT_TRUE(served.ok()) << served.status().ToString();
-      EXPECT_EQ(served->version, 1);
-      EXPECT_EQ(served->label, expected.label);
-      EXPECT_EQ(served->confidence, expected.confidence);
-      break;
-    }
+    Result<Prediction> served =
+        RetryTransient([&] { return (*fleet)->Predict(key, image); });
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    EXPECT_EQ(served->version, 1);
+    EXPECT_EQ(served->label, expected.label);
+    EXPECT_EQ(served->confidence, expected.confidence);
   }
 
   (*fleet)->Shutdown();
